@@ -205,13 +205,9 @@ pub fn trace_path() -> Option<String> {
     path_arg("--trace")
 }
 
-/// Parses `--scheduler reference|fast|compiled|parallel` (default: the
-/// kernel default, [`SchedulerMode::Fast`]). `reference` re-enables the
-/// one-rule-at-a-time oracle scheduler for cross-checking; `compiled`
-/// selects the static wave plan with the specialized dispatch loop (see
-/// `docs/SCHEDULING.md` §"Compiled schedule"); `parallel` runs the same
-/// plan under the wave-barrier shard discipline and collects the
-/// wave-occupancy report (see `docs/PARALLELISM.md`).
+/// Parses `--scheduler reference|fast` (default: the kernel default,
+/// [`SchedulerMode::Fast`]). `reference` re-enables the one-rule-at-a-time
+/// oracle scheduler for cross-checking.
 ///
 /// # Panics
 ///
@@ -219,15 +215,9 @@ pub fn trace_path() -> Option<String> {
 /// invalidate whatever comparison the operator was running.
 #[must_use]
 pub fn scheduler_from_args() -> SchedulerMode {
-    match path_arg("--scheduler").as_deref() {
-        None | Some("fast") => SchedulerMode::Fast,
-        Some("reference") => SchedulerMode::Reference,
-        Some("compiled") => SchedulerMode::Compiled,
-        Some("parallel") => SchedulerMode::Parallel,
-        Some(other) => {
-            panic!("--scheduler {other}: expected `reference`, `fast`, `compiled`, or `parallel`")
-        }
-    }
+    path_arg("--scheduler").map_or(SchedulerMode::Fast, |name| {
+        name.parse().unwrap_or_else(|e| panic!("--scheduler: {e}"))
+    })
 }
 
 /// Parses `--bench-json <path>`: where a benchmark binary should write
@@ -318,12 +308,6 @@ pub fn maybe_profile_run(
     }
     if let Some((path, tr)) = opts.chrome_trace.as_ref().zip(chrome) {
         let mut t = tr.borrow_mut();
-        if mode == SchedulerMode::Parallel {
-            // Split the rule tracks into one process per wave shard so the
-            // parallel schedule is visible in Perfetto (see
-            // `docs/PARALLELISM.md`); other modes keep the flat pid-0 view.
-            t.set_rule_shards(&sim.wave_shards());
-        }
         for (core, spans, _dropped) in sim.instruction_spans() {
             let tid = u32::try_from(core).expect("core id fits u32");
             t.set_inst_track(tid, &format!("core{core}"));

@@ -2,16 +2,19 @@
 //! §telemetry):
 //!
 //! * enabling telemetry never changes cycle counts, architectural
-//!   statistics, or scheduler counters — under all four scheduler modes;
+//!   statistics, or scheduler counters — under both scheduler modes;
 //! * the sampled windows actually track the run (committed instructions
 //!   accumulate across windows, the ring stays bounded);
 //! * a snapshot taken mid-window round-trips the in-flight telemetry
 //!   state: continuing the restored SoC produces byte-identical
-//!   `telemetry_json` output to the uninterrupted run;
+//!   `telemetry_json` output to the uninterrupted run, and a snapshot
+//!   whose frozen column layout differs from the live one is refused;
 //! * telemetry composes with TMA profiling (the tap contributes the
 //!   per-core bucket columns).
 
 use cmd_core::sched::SchedulerMode;
+use cmd_core::sim::SimError;
+use cmd_core::snap::SnapError;
 use riscy_isa::asm::Assembler;
 use riscy_isa::mem::{DRAM_BASE, MMIO_EXIT};
 use riscy_isa::reg::Gpr;
@@ -63,12 +66,7 @@ fn run_fingerprint(
 #[test]
 fn telemetry_is_identity_preserving_under_all_scheduler_modes() {
     let prog = busy_prog(300);
-    for mode in [
-        SchedulerMode::Reference,
-        SchedulerMode::Fast,
-        SchedulerMode::Compiled,
-        SchedulerMode::Parallel,
-    ] {
+    for mode in SchedulerMode::ALL {
         let plain = run_fingerprint(&prog, mode, false);
         let tele = run_fingerprint(&prog, mode, true);
         assert_eq!(plain.0, tele.0, "{mode:?}: telemetry changed cycle count");
@@ -88,10 +86,10 @@ fn windows_track_the_run_and_the_ring_stays_bounded() {
     assert!(tel.windows().count() <= 4, "the ring must stay bounded");
     assert!(tel.windows_dropped() > 0);
     // The SoC tap contributes per-core columns; the kernel contributes
-    // its scheduler gauges.
+    // its scheduler counters.
     let cols = tel.columns();
     assert!(cols.iter().any(|c| c == "c0.committed"), "{cols:?}");
-    assert!(cols.iter().any(|c| c == "par.rules_dispatched"), "{cols:?}");
+    assert!(cols.iter().any(|c| c == "sim.rules_fired"), "{cols:?}");
     // Committed-instruction deltas are non-negative and sum to less than
     // the total (the ring only keeps the tail of the run).
     let committed_idx = cols.iter().position(|c| c == "c0.committed").unwrap();
@@ -141,6 +139,38 @@ fn snapshot_roundtrip_preserves_in_flight_windows() {
         want,
         "telemetry diverged across a mid-window snapshot boundary"
     );
+}
+
+/// A snapshot whose frozen telemetry columns differ from the columns this
+/// design samples is refused at restore with a structured error, instead
+/// of being accepted and tripping the sampler's column-set assertion at
+/// the next window boundary.
+#[test]
+fn restore_refuses_renamed_telemetry_column() {
+    let prog = busy_prog(400);
+    let mut first = SocSim::new(CoreConfig::riscyoo_t_plus(), mem_riscyoo_b(), 1, &prog);
+    first.enable_telemetry(300, 8);
+    let _ = first.run_to_completion(1_000);
+    assert!(
+        first.telemetry().unwrap().windows_taken() > 0,
+        "layout frozen"
+    );
+    let mut bytes = first.save_snapshot().unwrap();
+    // Rename `c0.committed` to a same-length name the design never samples,
+    // so the bytes still parse and only the column set differs.
+    let (from, to) = (b"c0.committed", b"c0.commitXYZ");
+    let hits: Vec<usize> = (0..=bytes.len() - from.len())
+        .filter(|&i| &bytes[i..i + from.len()] == from)
+        .collect();
+    assert_eq!(hits.len(), 1, "the column name appears once, in the ring");
+    bytes[hits[0]..hits[0] + to.len()].copy_from_slice(to);
+
+    let mut second = SocSim::new(CoreConfig::riscyoo_t_plus(), mem_riscyoo_b(), 1, &prog);
+    second.enable_telemetry(300, 8);
+    assert!(matches!(
+        second.restore_snapshot(&bytes),
+        Err(SimError::Snapshot(SnapError::Mismatch(_)))
+    ));
 }
 
 #[test]
